@@ -24,8 +24,8 @@ help:
 	@echo "  bench-serve   snapshot serving-layer perf (sink ingest/merge"
 	@echo "           throughput, query latency incl. p50/p99 under"
 	@echo "           concurrent load) into results/BENCH_serve.json"
-	@echo "  bench-fleet   snapshot fleet-scale perf (1k/10k cars, layout x"
-	@echo "           format matrix + ingest microbenches, merged with the"
+	@echo "  bench-fleet   snapshot fleet-scale perf (1k/10k cars x format"
+	@echo "           matrix + ingest microbenches, merged with the"
 	@echo "           frozen pre-columnar baseline) into"
 	@echo "           results/BENCH_fleet.json; FLEET_CARS=N adds a size"
 	@echo "  bench-obs     snapshot observability overhead (obs off vs idle"
@@ -141,7 +141,7 @@ bench-serve:
 		< /tmp/bench_serve.txt > results/BENCH_serve.json
 	@echo "wrote results/BENCH_serve.json"
 
-# Fleet-scale perf trajectory: the cars × layout × format matrix plus
+# Fleet-scale perf trajectory: the cars × format matrix plus
 # the per-car ingest microbenches, single-shot runs with medians over 3
 # repetitions (one op is a whole fleet). The frozen pre-columnar
 # baseline (BenchmarkFleetSeed arms of results/bench_fleet_seed.txt,

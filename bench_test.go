@@ -66,12 +66,19 @@ func BenchmarkTable1GraphBuild(b *testing.B) {
 func BenchmarkTable2Segmentation(b *testing.B) {
 	env := benchEnvironment(b)
 	raw := env.P.Gen.CarTrips(1)
-	cleaned := clean.Trips(clean.RepairAll(raw, clean.Config{}))
+	var cleaned []*trace.Trip
+	for _, t := range raw {
+		if r := clean.Repair(t, clean.Config{}); r.Trip != nil {
+			cleaned = append(cleaned, r.Trip)
+		}
+	}
 	rules := segment.DefaultRules()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		segment.SplitAll(cleaned, rules, nil)
+		for _, t := range cleaned {
+			segment.Split(t, rules, nil)
+		}
 	}
 }
 
@@ -243,7 +250,9 @@ func BenchmarkAblationOrderingRepair(b *testing.B) {
 	b.Run("min-distance", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			clean.RepairAll(raw, clean.Config{})
+			for _, t := range raw {
+				clean.Repair(t, clean.Config{})
+			}
 		}
 	})
 	b.Run("timestamp-only", func(b *testing.B) {
@@ -472,7 +481,9 @@ func BenchmarkCleanRepair(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clean.RepairAll(raw, clean.Config{})
+		for _, t := range raw {
+			clean.Repair(t, clean.Config{})
+		}
 	}
 }
 

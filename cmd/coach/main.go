@@ -108,7 +108,7 @@ func main() {
 	w.Flush()
 }
 
-// processCSV loads recorded trips and runs them through the pipeline.
+// processCSV loads recorded trips and runs them on the fleet runner.
 func processCSV(ctx context.Context, p *taxitrace.Pipeline, path string) (*taxitrace.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -119,22 +119,5 @@ func processCSV(ctx context.Context, p *taxitrace.Pipeline, path string) (*taxit
 	if err != nil {
 		return nil, err
 	}
-	byCar := map[int][]*trace.Trip{}
-	for _, t := range trips {
-		byCar[t.CarID] = append(byCar[t.CarID], t)
-	}
-	carIDs := make([]int, 0, len(byCar))
-	for car := range byCar {
-		carIDs = append(carIDs, car)
-	}
-	sort.Ints(carIDs)
-	res := &taxitrace.Result{}
-	for _, car := range carIDs {
-		cr, err := p.ProcessContext(ctx, car, byCar[car])
-		if err != nil {
-			return nil, err
-		}
-		res.Cars = append(res.Cars, cr)
-	}
-	return res, nil
+	return p.RunTrips(ctx, trips)
 }

@@ -62,7 +62,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -93,7 +92,6 @@ func main() {
 	maxFailures := flag.Int("max-failures", 0, "error budget: failed cars tolerated before aborting (0 = unlimited, -1 = abort on first)")
 	retries := flag.Int("retries", 1, "per-car attempts for retryable errors")
 	tracesIn := flag.String("traces", "", "optional route-point trace file (CSV or binary, from cmd/tracegen; format sniffed) to process instead of simulating; must match -seed")
-	layoutFlag := flag.String("layout", "auto", "point-storage layout for the hot path: auto, columnar, or legacy")
 	svgOut := flag.String("svg", "", "optional SVG output: the accepted transitions' speed map")
 	metricsOut := flag.String("metrics", "", "optional JSON metrics snapshot written at exit")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060, :0 for ephemeral)")
@@ -119,10 +117,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-transition details")
 	flag.Parse()
 
-	layout, err := taxitrace.ParseLayout(*layoutFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	logger, err := newLogger(*logLevel, *logFormat)
 	if err != nil {
 		log.Fatal(err)
@@ -159,7 +153,6 @@ func main() {
 
 	start := time.Now()
 	p, err := taxitrace.New(taxitrace.Config{
-		Layout:   layout,
 		CitySeed: *seed,
 		Fleet: tracegen.Config{
 			Seed:            *seed,
@@ -377,7 +370,6 @@ func main() {
 				"trips":    fmt.Sprint(*trips),
 				"seed":     fmt.Sprint(*seed),
 				"gatefrac": fmt.Sprint(*gateFrac),
-				"layout":   *layoutFlag,
 				"workers":  fmt.Sprint(*workers),
 				"retries":  fmt.Sprint(*retries),
 			},
@@ -810,16 +802,16 @@ func runIngestServer(ctx context.Context, p *taxitrace.Pipeline, reg *obs.Regist
 }
 
 // processTraces loads externally recorded trips (e.g. written by
-// cmd/tracegen against the same city seed) and runs the processing
-// stages over them, grouped by car. The file format — CSV or the
-// binary trace format — is sniffed from the leading bytes. Like
-// RunContext, a bad car is isolated: its error is joined into the
-// returned error while the remaining cars' results are kept.
+// cmd/tracegen against the same city seed) and runs them on the fleet
+// runner, one task per car (Pipeline.RunTrips): -workers and
+// -max-failures apply, a bad car is isolated as a CarError while the
+// other cars' results are kept, and the fleet lineage row and runner
+// summary are filled as for a simulated run. The file format — CSV or
+// the binary trace format — is sniffed from the leading bytes.
 func processTraces(ctx context.Context, p *taxitrace.Pipeline, path string) (*taxitrace.Result, error) {
-	res := &taxitrace.Result{}
 	f, err := os.Open(path)
 	if err != nil {
-		return res, err
+		return &taxitrace.Result{}, err
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
@@ -829,29 +821,7 @@ func processTraces(ctx context.Context, p *taxitrace.Pipeline, path string) (*ta
 	}
 	trips, err := read(br, p.City.DB.Proj)
 	if err != nil {
-		return res, err
+		return &taxitrace.Result{}, err
 	}
-	byCar := map[int][]*trace.Trip{}
-	for _, t := range trips {
-		byCar[t.CarID] = append(byCar[t.CarID], t)
-	}
-	cars := make([]int, 0, len(byCar))
-	for car := range byCar {
-		cars = append(cars, car)
-	}
-	sort.Ints(cars)
-	var errs []error
-	for _, car := range cars {
-		if err := ctx.Err(); err != nil {
-			errs = append(errs, err)
-			break
-		}
-		cr, err := p.ProcessContext(ctx, car, byCar[car])
-		if err != nil {
-			errs = append(errs, &taxitrace.CarError{Car: car, Attempts: 1, Err: err})
-			continue
-		}
-		res.Cars = append(res.Cars, cr)
-	}
-	return res, errors.Join(errs...)
+	return p.RunTrips(ctx, trips)
 }

@@ -171,29 +171,6 @@ func Repair(t *trace.Trip, cfg Config) Result {
 	}
 }
 
-// RepairAll cleans a batch. Every trip yields a Result — including
-// trips with no surviving points (Trip == nil), whose drop counts
-// would otherwise vanish from the lineage accounting. Use Trips to
-// extract the survivors.
-func RepairAll(trips []*trace.Trip, cfg Config) []Result {
-	out := make([]Result, 0, len(trips))
-	for _, t := range trips {
-		out = append(out, Repair(t, cfg))
-	}
-	return out
-}
-
-// Trips extracts the cleaned trips from a batch of results.
-func Trips(results []Result) []*trace.Trip {
-	out := make([]*trace.Trip, 0, len(results))
-	for _, r := range results {
-		if r.Trip != nil {
-			out = append(out, r.Trip)
-		}
-	}
-	return out
-}
-
 // filterValid drops records with non-finite fields, out-of-area
 // positions, duplicate point ids, and GPS spikes implying impossible
 // speed, accumulating each removal's reason into drops.

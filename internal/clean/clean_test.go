@@ -184,21 +184,6 @@ func TestRepairEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestRepairAllAndTrips(t *testing.T) {
-	batch := []*trace.Trip{straightTrip(5), {ID: 9}, straightTrip(3)}
-	results := RepairAll(batch, Config{})
-	if len(results) != 3 {
-		t.Fatalf("RepairAll returned %d results, want one per trip (3)", len(results))
-	}
-	if results[1].Trip != nil {
-		t.Fatal("empty trip must yield a nil-Trip result")
-	}
-	trips := Trips(results)
-	if len(trips) != 2 {
-		t.Fatalf("Trips = %d", len(trips))
-	}
-}
-
 // TestDropStatsAttribution checks every reason is counted in its own
 // bucket and that the buckets always sum to Dropped.
 func TestDropStatsAttribution(t *testing.T) {

@@ -469,7 +469,7 @@ func (c *Coordinator) accept(pulledFrom string, p *Partial) {
 	cur.snap = p.Snapshot
 	cur.lineage = p.Lineage
 	if err := c.rebuildLocked(); err != nil {
-		// A merge-algebra violation (frame or histogram-layout skew) is
+		// A merge-algebra violation (frame or histogram layout skew) is
 		// a deployment bug, not a transient: poison the run but keep
 		// the last good view serving.
 		c.fatal = fmt.Errorf("cluster: merging partial from %s: %w", p.WorkerID, err)

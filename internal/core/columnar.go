@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/clean"
 	"repro/internal/obs"
+	"repro/internal/runner"
 	"repro/internal/segment"
 	"repro/internal/trace"
 )
@@ -17,10 +18,10 @@ import (
 // per-trip []RoutePoint slices. Raw trips are appended to the arena
 // once, the cleaning kernel appends realigned trips to the same arena,
 // segmentation yields zero-copy subviews, and only the kept segments
-// are materialised back into row form (the CarResult contract — and
-// every stage from OD selection on — is layout-independent and
-// unchanged). The determinism test runs both layouts and asserts
-// byte-identical results.
+// are materialised back into row form (the CarResult contract, and
+// every stage from OD selection on, works on rows). This is the only
+// per-car path; the row kernels clean.Repair and segment.Split are the
+// reference the kernel differential tests compare against.
 
 // carScratch is the per-car reusable state. One scratch is checked out
 // of the pipeline pool per ProcessContext call, so steady-state
@@ -50,32 +51,31 @@ func (p *Pipeline) putScratch(sc *carScratch) {
 	p.scratches.Put(sc)
 }
 
-// processColumnar is the columnar implementation of ProcessContext.
-// ok is false — with no side effects — when some trip cannot be
-// represented columnarly (point id overflow, out-of-range or non-UTC
-// time, mismatched trip id); the dispatcher then reruns the car on the
-// row-oriented path.
-func (p *Pipeline) processColumnar(ctx context.Context, car int, raw []*trace.Trip) (CarResult, error, bool) {
+// processRows is ProcessContext without the car trace: it checks the
+// raw rows at the input boundary, copies them into the pooled arena
+// and runs the columnar stages.
+func (p *Pipeline) processRows(ctx context.Context, car int, raw []*trace.Trip) (CarResult, error) {
+	if err := p.checkGate("simulate", p.checker.RawTrips(car, raw)); err != nil {
+		return CarResult{Car: car, RawTrips: len(raw)}, err
+	}
 	sc := p.getScratch()
 	for _, t := range raw {
 		v, err := sc.arena.AppendTrip(t)
 		if err != nil {
 			p.putScratch(sc)
-			return CarResult{}, nil, false
+			return CarResult{Car: car, RawTrips: len(raw)}, &runner.StageError{Stage: "clean", Err: err}
 		}
 		sc.views = append(sc.views, v)
 	}
-	cr, err := p.processViews(ctx, car, len(raw), raw, sc)
-	return cr, err, true
+	return p.processViews(ctx, car, sc)
 }
 
 // ProcessBinaryContext is ProcessContext for one car's binary trace
 // stream: records are decoded straight into the pooled columnar arena,
 // skipping the row materialisation ReadBinary would do only for
-// processColumnar to immediately re-columnarise. Every record in r
+// processRows to immediately re-columnarise. Every record in r
 // must belong to car. Results are byte-identical to
-// ReadBinary + ProcessContext (the differential test asserts this); a
-// legacy-layout pipeline falls back to exactly that pair.
+// ReadBinary + ProcessContext (the differential test asserts this).
 func (p *Pipeline) ProcessBinaryContext(ctx context.Context, car int, r io.Reader) (CarResult, error) {
 	ctx, root := p.ensureCarTrace(ctx, car)
 	cr, err := p.processBinary(ctx, car, r)
@@ -84,13 +84,6 @@ func (p *Pipeline) ProcessBinaryContext(ctx context.Context, car int, r io.Reade
 }
 
 func (p *Pipeline) processBinary(ctx context.Context, car int, r io.Reader) (CarResult, error) {
-	if !p.Config.Layout.columnar() {
-		raw, err := trace.ReadBinary(r, p.City.DB.Proj)
-		if err != nil {
-			return CarResult{Car: car}, err
-		}
-		return p.processLegacy(ctx, car, raw)
-	}
 	sc := p.getScratch()
 	if err := sc.breader.Reset(r, p.City.DB.Proj); err != nil {
 		p.putScratch(sc)
@@ -123,19 +116,19 @@ func (p *Pipeline) processBinary(ctx context.Context, car int, r io.Reader) (Car
 			return 0
 		}
 	})
-	var raw []*trace.Trip
 	if p.checker != nil {
 		// The input validator speaks rows; materialise only when checking.
-		raw = trace.MaterializeAll(sc.views, false)
+		if err := p.checkGate("simulate", p.checker.RawTrips(car, trace.MaterializeAll(sc.views, false))); err != nil {
+			p.putScratch(sc)
+			return CarResult{Car: car, RawTrips: len(sc.views)}, err
+		}
 	}
-	return p.processViews(ctx, car, len(sc.views), raw, sc)
+	return p.processViews(ctx, car, sc)
 }
 
 // processViews runs the columnar stages over sc.views, which the
-// caller has already filled. It takes ownership of sc. rawForCheck is
-// the row form of the views for the input validator; callers without a
-// validator pass nil.
-func (p *Pipeline) processViews(ctx context.Context, car, rawTrips int, rawForCheck []*trace.Trip, sc *carScratch) (CarResult, error) {
+// caller has already filled and checked. It takes ownership of sc.
+func (p *Pipeline) processViews(ctx context.Context, car int, sc *carScratch) (CarResult, error) {
 	defer p.putScratch(sc)
 
 	carSpan := p.met.car.Start()
@@ -143,16 +136,11 @@ func (p *Pipeline) processViews(ctx context.Context, car, rawTrips int, rawForCh
 		carSpan.End()
 		p.met.cars.Inc()
 	}()
-	cr := CarResult{Car: car, RawTrips: rawTrips}
-
-	// Input boundary check, identical to the row path.
-	if err := p.checkGate("simulate", p.checker.RawTrips(car, rawForCheck)); err != nil {
-		return cr, err
-	}
+	cr := CarResult{Car: car, RawTrips: len(sc.views)}
 
 	// Cleaning (§IV-B) on columns. Every view yields accounting —
 	// a trip whose points were all dropped still contributes its drop
-	// counts, mirroring the row path.
+	// counts to the lineage.
 	if err := p.stageGate(ctx, car, "clean"); err != nil {
 		return cr, err
 	}

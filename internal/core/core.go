@@ -44,50 +44,6 @@ const LowSpeedKmh = 10
 // speed limit) when within this margin below the local limit.
 const NormalSpeedToleranceKmh = 2
 
-// Layout selects the in-memory point representation of the per-car
-// hot path (cleaning and segmentation).
-type Layout int
-
-const (
-	// LayoutAuto selects the default layout (columnar).
-	LayoutAuto Layout = iota
-	// LayoutColumnar runs cleaning and segmentation on struct-of-arrays
-	// columns in a pooled per-car arena (see internal/trace.Columns).
-	LayoutColumnar
-	// LayoutLegacy runs the row-oriented []RoutePoint path. Output is
-	// byte-identical to columnar (the determinism test asserts it);
-	// the layout is kept for differential testing and as the fallback
-	// for trips the columnar store cannot represent.
-	LayoutLegacy
-)
-
-// String returns the layout name.
-func (l Layout) String() string {
-	switch l {
-	case LayoutLegacy:
-		return "legacy"
-	case LayoutColumnar:
-		return "columnar"
-	default:
-		return "auto"
-	}
-}
-
-// ParseLayout converts a flag value to a Layout.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "", "auto":
-		return LayoutAuto, nil
-	case "columnar":
-		return LayoutColumnar, nil
-	case "legacy":
-		return LayoutLegacy, nil
-	}
-	return LayoutAuto, fmt.Errorf("core: unknown layout %q (want auto, columnar or legacy)", s)
-}
-
-func (l Layout) columnar() bool { return l != LayoutLegacy }
-
 // Config assembles one pipeline. Zero values select the paper's
 // settings.
 type Config struct {
@@ -157,9 +113,6 @@ type Config struct {
 	// Log receives structured per-car and fleet-event log lines
 	// (log/slog). Nil disables logging.
 	Log *slog.Logger
-	// Layout selects the hot-path point representation (default
-	// columnar; see the Layout constants).
-	Layout Layout
 }
 
 func (c Config) withDefaults() Config {
@@ -420,13 +373,7 @@ func (p *Pipeline) runnerConfig() runner.Config {
 // Consumers must drain Events until it closes; RunContext does exactly
 // that and rebuilds the batch Result.
 func (p *Pipeline) Stream(ctx context.Context) *FleetStream {
-	st := runner.Run(ctx, p.runnerConfig(), p.Gen.Cars(), p.RunCarContext)
-	if p.Config.Lineage != nil || p.Config.Log != nil {
-		// Fold every terminal per-car outcome into the fleet lineage
-		// row (and the structured log) exactly once, as it happens.
-		st = runner.Tee(st, p.recordFleetEvent)
-	}
-	return st
+	return p.withFleetLedger(runner.Run(ctx, p.runnerConfig(), p.Gen.Cars(), p.RunCarContext))
 }
 
 // StreamCars is Stream over an explicit car list instead of the whole
@@ -434,11 +381,39 @@ func (p *Pipeline) Stream(ctx context.Context) *FleetStream {
 // subset of cars hashing to its shard. Identical semantics otherwise;
 // the error budget resolves against len(cars).
 func (p *Pipeline) StreamCars(ctx context.Context, cars []int) *FleetStream {
-	st := runner.RunList(ctx, p.runnerConfig(), cars, p.RunCarContext)
-	if p.Config.Lineage != nil || p.Config.Log != nil {
-		st = runner.Tee(st, p.recordFleetEvent)
+	return p.withFleetLedger(runner.RunList(ctx, p.runnerConfig(), cars, p.RunCarContext))
+}
+
+// withFleetLedger folds every terminal per-car outcome of st into the
+// fleet lineage row (and the structured log) exactly once, as it
+// happens. Every fleet driver goes through it.
+func (p *Pipeline) withFleetLedger(st *FleetStream) *FleetStream {
+	if p.Config.Lineage == nil && p.Config.Log == nil {
+		return st
 	}
-	return st
+	return runner.Tee(st, p.recordFleetEvent)
+}
+
+// RunTrips runs the processing stages over recorded trips — a replayed
+// trace file, say — on the fleet runner. Trips are grouped by car and
+// each car is one runner task, so a replay gets Stream's worker pool,
+// panic isolation, error budget, fleet lineage row and runner metrics.
+// Like RunContext, the Result holds every successful car sorted by car
+// number and the error joins the per-car *CarErrors (see FailedCars).
+func (p *Pipeline) RunTrips(ctx context.Context, trips []*trace.Trip) (*Result, error) {
+	byCar := map[int][]*trace.Trip{}
+	for _, t := range trips {
+		byCar[t.CarID] = append(byCar[t.CarID], t)
+	}
+	cars := make([]int, 0, len(byCar))
+	for car := range byCar {
+		cars = append(cars, car)
+	}
+	sort.Ints(cars)
+	st := runner.RunList(ctx, p.runnerConfig(), cars, func(ctx context.Context, car int) (CarResult, error) {
+		return p.ProcessContext(ctx, car, byCar[car])
+	})
+	return collectStream(p.withFleetLedger(st), len(cars), nil)
 }
 
 // RunContext executes the pipeline for the whole fleet under ctx and
@@ -542,98 +517,20 @@ func (p *Pipeline) stageGate(ctx context.Context, car int, stage string) error {
 // between transitions; on error the partial CarResult built so far is
 // returned alongside it.
 //
-// Config.Layout picks the point representation of the cleaning and
-// segmentation stages; both produce byte-identical results. Trips the
-// columnar store cannot represent losslessly send the whole car down
-// the row-oriented path.
+// Cleaning and segmentation run on columns (see columnar.go). A trip
+// the column store cannot hold — a point id outside int32 or a time
+// outside ±trace.MaxEventTimeMs — fails the car at the clean stage;
+// the trace readers and ingest admission reject such points first.
 func (p *Pipeline) ProcessContext(ctx context.Context, car int, raw []*trace.Trip) (CarResult, error) {
 	ctx, root := p.ensureCarTrace(ctx, car)
-	cr, err := p.processDispatch(ctx, car, raw)
+	cr, err := p.processRows(ctx, car, raw)
 	endCarTrace(ctx, root, err)
 	return cr, err
 }
 
-// processDispatch picks the layout implementation.
-func (p *Pipeline) processDispatch(ctx context.Context, car int, raw []*trace.Trip) (CarResult, error) {
-	if p.Config.Layout.columnar() {
-		if cr, err, ok := p.processColumnar(ctx, car, raw); ok {
-			return cr, err
-		}
-	}
-	return p.processLegacy(ctx, car, raw)
-}
-
-// processLegacy is the row-oriented ([]RoutePoint) implementation of
-// ProcessContext.
-func (p *Pipeline) processLegacy(ctx context.Context, car int, raw []*trace.Trip) (CarResult, error) {
-	carSpan := p.met.car.Start()
-	defer func() {
-		carSpan.End()
-		p.met.cars.Inc()
-	}()
-	cr := CarResult{Car: car, RawTrips: len(raw)}
-
-	// Input boundary: whatever produced the raw trips (simulator or a
-	// CSV reload standing in for it), each must be internally
-	// consistent before cleaning sees it.
-	if err := p.checkGate("simulate", p.checker.RawTrips(car, raw)); err != nil {
-		return cr, err
-	}
-
-	// Cleaning (§IV-B). Every raw trip yields a result — a trip whose
-	// points were all dropped still contributes its drop counts to the
-	// lineage.
-	if err := p.stageGate(ctx, car, "clean"); err != nil {
-		return cr, err
-	}
-	for _, t := range raw {
-		cr.CleanStats.RawPoints += len(t.Points)
-	}
-	sp := p.met.clean.Start()
-	tsp := p.traceStage(ctx, "clean")
-	results := clean.RepairAll(raw, p.Config.Clean)
-	sp.End()
-	for _, r := range results {
-		if r.Trip == nil {
-			cr.CleanStats.EmptyTrips++
-		} else {
-			cr.CleanStats.Trips++
-			cr.CleanStats.KeptPoints += len(r.Trip.Points)
-		}
-		if r.Reordered {
-			cr.CleanStats.Reordered++
-		}
-		if r.ChosenOrder == clean.OrderByTime {
-			cr.CleanStats.ChoseTime++
-		}
-		cr.CleanStats.DroppedPoints += r.Dropped
-		cr.CleanStats.Drops.Merge(r.Drops)
-	}
-	tsp.End(obs.TAttr("trips", itoa(cr.CleanStats.Trips)),
-		obs.TAttr("dropped_points", itoa(cr.CleanStats.DroppedPoints)))
-	if err := p.checkGate("clean", p.checker.CleanedTrips(car, clean.Trips(results))); err != nil {
-		return cr, err
-	}
-
-	// Segmentation (Table 2).
-	if err := p.stageGate(ctx, car, "segment"); err != nil {
-		return cr, err
-	}
-	sp = p.met.segment.Start()
-	tsp = p.traceStage(ctx, "segment")
-	cr.Segments = segment.SplitAll(clean.Trips(results), p.Rules, &cr.SegStats)
-	tsp.End(obs.TAttr("kept", itoa(cr.SegStats.KeptSegments)))
-	sp.End()
-	if err := p.checkGate("segment", p.checker.Segments(car, cr.Segments, segmentCheckRules(p.Rules))); err != nil {
-		return cr, err
-	}
-
-	return cr, p.selectAndAnalyse(ctx, car, &cr)
-}
-
-// selectAndAnalyse runs the layout-independent tail of car processing
-// — OD selection (Table 3), map-matching and attribute fetching — over
-// cr.Segments, accumulating into cr.
+// selectAndAnalyse runs the tail of car processing — OD selection
+// (Table 3), map-matching and attribute fetching — over cr.Segments,
+// accumulating into cr.
 func (p *Pipeline) selectAndAnalyse(ctx context.Context, car int, cr *CarResult) error {
 	if err := p.stageGate(ctx, car, "odselect"); err != nil {
 		return err
@@ -706,10 +603,9 @@ func (p *Pipeline) matchTransitions(ctx context.Context, car int, accepted []*od
 	return nil
 }
 
-// AnalyseSegments runs the layout-independent analysis tail — OD
-// selection (Table 3), map-matching and attribute fetching — over
-// already-cleaned, already-segmented trips of one car, outside the
-// fleet runner. This is the incremental entry point the streaming
+// AnalyseSegments runs the analysis tail — OD selection (Table 3),
+// map-matching and attribute fetching — over already-cleaned,
+// already-segmented trips of one car, outside the fleet runner. This is the incremental entry point the streaming
 // ingest layer drives once a trip closes under the watermark: unlike
 // the batch path it commits nothing to the pipeline's lineage ledger
 // or stage counters (callers own their accounting), but it validates

@@ -125,30 +125,6 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// The memory layout must be invisible in the results: forcing the
-	// row-oriented legacy path produces output byte-identical to the
-	// columnar default. This is the end-to-end proof that RepairColumns
-	// and SplitColumns mirror Repair and Split bit for bit — every float
-	// expression, sort stability choice and drop rule included.
-	legCfg := determinismConfig()
-	legCfg.Layout = LayoutLegacy
-	legacy, err := NewPipeline(legCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legRes, err := legacy.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legJSON, err := json.Marshal(legRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(parJSON, legJSON) {
-		t.Fatalf("legacy layout diverged from columnar:\ncolumnar %d bytes, legacy %d bytes",
-			len(parJSON), len(legJSON))
-	}
-
 	// The strict invariant checker must not perturb determinism either:
 	// checks observe stage outputs, never mutate them, so a strict run
 	// over invariant-respecting data is byte-identical — and records

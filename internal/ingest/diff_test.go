@@ -43,7 +43,6 @@ func newDiffFixture(t *testing.T) *diffFixture {
 	t.Helper()
 	p, err := core.NewPipeline(core.Config{
 		CitySeed: 42,
-		Layout:   core.LayoutLegacy,
 		Fleet: tracegen.Config{
 			Seed: 42, Cars: 32, TripsPerCar: 3, GateRunFraction: 0.4,
 		},

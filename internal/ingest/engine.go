@@ -109,8 +109,13 @@ type Engine struct {
 	met engineMetrics
 
 	// flushMu serialises flush rounds so two concurrent watermark
-	// advances cannot interleave their sink publishes.
+	// advances cannot interleave their sink publishes. It also guards
+	// the flush scratch below: one arena, cleaning scratch and segment
+	// view buffer, reset per trip.
 	flushMu sync.Mutex
+	arena   *trace.Arena
+	scratch clean.Scratch
+	segs    []trace.ColTrip
 }
 
 // carState is one device's online state machine.
@@ -192,6 +197,7 @@ func New(cfg Config) (*Engine, error) {
 		cars:  map[int]*carState{},
 		drops: map[obs.DropReason]uint64{},
 		lin:   newLinHandles(cfg.Lineage),
+		arena: trace.NewArena(0),
 		met: engineMetrics{
 			received:    reg.Counter("ingest_points_received"),
 			admitted:    reg.Counter("ingest_points_admitted"),
@@ -260,15 +266,20 @@ func (e *Engine) PushBatch(pts []Point) PushResult {
 
 // admitLocked runs the online admission checks for one event and
 // buffers it. The non-finite and out-of-area predicates are exactly
-// the first two filters of clean.Repair, applied per point at the
-// door; removing them here leaves the trip-close Repair (ordering,
+// the first two filters of the cleaning kernel, applied per point at
+// the door; removing them here leaves the trip-close repair (ordering,
 // duplicates, spikes) with identical results, so streaming admission
-// stays value-equivalent to batch cleaning.
+// stays value-equivalent to batch cleaning. A sequence number outside
+// int32 or a time outside ±trace.MaxEventTimeMs does not fit the
+// column store the flush cleans in, and is dropped as non-finite too —
+// the same bound the trace readers enforce, for every wire format.
 func (e *Engine) admitLocked(p *Point, recvNs int64) (obs.DropReason, bool) {
 	e.received++
 	rp := p.RoutePoint(e.proj)
 	if !finite(rp.Pos.X) || !finite(rp.Pos.Y) || !finite(rp.SpeedKmh) ||
-		!finite(rp.FuelMl) || !finite(rp.DistM) || rp.Time.IsZero() {
+		!finite(rp.FuelMl) || !finite(rp.DistM) || rp.Time.IsZero() ||
+		int64(int32(p.Seq)) != int64(p.Seq) ||
+		p.TimeMs < -trace.MaxEventTimeMs || p.TimeMs > trace.MaxEventTimeMs {
 		return e.dropLocked(p.Car, obs.DropNonFinite, e.lin.inNonFinite), false
 	}
 	if e.area.Area() > 0 && !e.area.Contains(rp.Pos) {
@@ -456,7 +467,8 @@ func (e *Engine) advanceLocked() []closedTrip {
 // selection → map-matching, absorbs the resulting transitions into the
 // sink and publishes one new epoch for the round. The caller holds
 // flushMu (never e.mu): stage work here runs concurrently with
-// admission.
+// admission. Cleaning and segmentation run on the batch pipeline's
+// columnar kernels over the engine's flush arena.
 func (e *Engine) flush(closed []closedTrip) {
 	start := e.cfg.Now()
 	cleanCfg := e.cfg.Pipeline.Config.Clean
@@ -464,23 +476,28 @@ func (e *Engine) flush(closed []closedTrip) {
 	ctx := context.Background()
 	absorbed := false
 	for _, ct := range closed {
-		trip := &trace.Trip{ID: ct.tb.id, CarID: ct.car, Points: ct.tb.pts}
-		res := clean.Repair(trip, cleanCfg)
-		kept := 0
-		if res.Trip != nil {
-			kept = len(res.Trip.Points)
+		e.arena.Reset()
+		var res clean.ColResult
+		v, err := e.arena.AppendTrip(&trace.Trip{ID: ct.tb.id, CarID: ct.car, Points: ct.tb.pts})
+		if err == nil {
+			res = clean.RepairColumns(v, cleanCfg, e.arena, &e.scratch)
+		} else {
+			// Unreachable: admission bounds ids and times to the column
+			// range. Counted as non-finite so the ledger still conserves.
+			res.Drops.NonFinite = len(ct.tb.pts)
 		}
-		e.lin.clean.RecordCar(ct.car, uint64(len(ct.tb.pts)), uint64(kept))
+		e.lin.clean.RecordCar(ct.car, uint64(len(ct.tb.pts)), uint64(res.Trip.N))
 		e.lin.cleanNonFinite.Add(uint64(res.Drops.NonFinite))
 		e.lin.cleanOutOfArea.Add(uint64(res.Drops.OutOfArea))
 		e.lin.cleanDup.Add(uint64(res.Drops.DuplicateID))
 		e.lin.cleanSpike.Add(uint64(res.Drops.Spike))
 
-		var segs []*trace.Trip
 		var segStats segment.Stats
-		if res.Trip != nil {
-			segs = segment.Split(res.Trip, rules, &segStats)
+		e.segs = e.segs[:0]
+		if res.Trip.N > 0 {
+			e.segs = segment.SplitColumns(res.Trip, rules, &segStats, e.segs)
 		}
+		segs := trace.MaterializeAll(e.segs, true)
 		e.lin.segment.RecordCar(ct.car, uint64(segStats.RawSegments), uint64(segStats.KeptSegments))
 		e.lin.segShort.Add(uint64(segStats.TooFewPoints))
 		e.lin.segLong.Add(uint64(segStats.TooLong))

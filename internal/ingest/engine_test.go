@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
@@ -24,7 +26,6 @@ func testPipeline(t *testing.T) *core.Pipeline {
 	sharedPipe.once.Do(func() {
 		sharedPipe.p, sharedPipe.err = core.NewPipeline(core.Config{
 			CitySeed: 42,
-			Layout:   core.LayoutLegacy,
 			Fleet: tracegen.Config{
 				Seed: 42, Cars: 2, TripsPerCar: 4, GateRunFraction: 0.3,
 			},
@@ -352,5 +353,57 @@ func TestAdmissionFilters(t *testing.T) {
 
 	if st := e.Stats(); st.Admitted != 0 || st.Received != 3 {
 		t.Fatalf("stats = %+v, want 3 received 0 admitted", st)
+	}
+}
+
+// TestAdmissionDropsOutOfRange: an NDJSON point whose seq overflows
+// int32, or whose time lies past ±trace.MaxEventTimeMs, cannot be
+// stored in the columns the flush cleans in. Admission drops it as
+// non_finite, the engine keeps serving the rest of the stream, and the
+// ledger conserves through close.
+func TestAdmissionDropsOutOfRange(t *testing.T) {
+	p := testPipeline(t)
+	lin := obs.NewLineage(nil)
+	e := newTestEngine(t, Config{AllowedLateness: 5 * time.Second, Lineage: lin})
+
+	var pts []Point
+	for i := int64(1); i <= 6; i++ {
+		pts = append(pts, syntheticPoint(p, 1, 1, int(i), i))
+	}
+	bigSeq := syntheticPoint(p, 1, 1, 1<<31, 7)
+	late := syntheticPoint(p, 1, 1, 8, 8)
+	late.TimeMs = trace.MaxEventTimeMs + 1
+	early := syntheticPoint(p, 1, 1, 9, 9)
+	early.TimeMs = -trace.MaxEventTimeMs - 1
+	pts = append(pts, bigSeq, late, early)
+	for i := int64(10); i <= 14; i++ {
+		pts = append(pts, syntheticPoint(p, 1, 1, int(i), i))
+	}
+	var body bytes.Buffer
+	if err := WriteNDJSON(&body, pts); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeNDJSON(&body, func(pt Point) error {
+		e.Push(pt)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+
+	st := e.Stats()
+	if st.Received != 14 || st.Admitted != 11 || st.Dropped[obs.DropNonFinite] != 3 {
+		t.Fatalf("stats = %+v, want 14 received, 11 admitted, 3 non_finite", st)
+	}
+	if st.ClosedTrips != 1 || st.BufferedPoints != 0 {
+		t.Fatalf("stats = %+v, want the trip flushed", st)
+	}
+	if err := lin.Check(); err != nil {
+		t.Fatalf("lineage conservation violated: %v", err)
+	}
+	for _, row := range lin.Snapshot(0).Stages {
+		if row.Stage == "clean" && row.In != 11 {
+			t.Fatalf("clean row = %+v, want the 11 admitted points in", row)
+		}
 	}
 }

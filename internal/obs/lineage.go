@@ -51,7 +51,7 @@ type DropReason string
 // The drop-reason taxonomy, by stage (see DESIGN.md for the table).
 const (
 	// Cleaning (units: route points).
-	DropNonFinite   DropReason = "non_finite"   // NaN/Inf field or zero timestamp
+	DropNonFinite   DropReason = "non_finite"   // NaN/Inf field, zero timestamp, or id/time outside the column range
 	DropOutOfArea   DropReason = "out_of_area"  // position outside the plausible region
 	DropDuplicateID DropReason = "duplicate_id" // repeated device sequence id
 	DropSpike       DropReason = "spike"        // implied speed impossible (GPS spike)

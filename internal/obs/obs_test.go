@@ -399,6 +399,6 @@ func TestFrozenMergeLayoutMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Count() != 3 || len(m.idx) != 2 || m.bucketN[0] != 2 {
-		t.Fatalf("foreign-layout merge wrong: %+v", m)
+		t.Fatalf("merge with a foreign layout wrong: %+v", m)
 	}
 }

@@ -142,27 +142,6 @@ func (g *Graph) ShortestPath(from, to NodeID, weight WeightFunc) (*Path, error) 
 	return g.Router().ShortestPath(from, to, weight)
 }
 
-// ShortestPathAStar runs A* with an admissible straight-line heuristic
-// derived from the weight of a representative edge: for DistanceWeight
-// semantics use heuristicSpeed <= 1 (metres per cost unit); for
-// TravelTimeWeight pass the network's maximum speed in m/s. Thin
-// compatibility wrapper over the shared Router.
-func (g *Graph) ShortestPathAStar(from, to NodeID, weight WeightFunc, heuristicSpeed float64) (*Path, error) {
-	return g.Router().ShortestPathAStar(from, to, weight, heuristicSpeed)
-}
-
-// MaxSpeedKmh returns the highest speed limit in the network, used to
-// keep the A* travel-time heuristic admissible.
-func (g *Graph) MaxSpeedKmh() float64 {
-	max := 0.0
-	for i := range g.Edges {
-		if g.Edges[i].SpeedLimitKmh > max {
-			max = g.Edges[i].SpeedLimitKmh
-		}
-	}
-	return max
-}
-
 // ShortestDistances runs bounded Dijkstra from one node and returns the
 // cost to every node reachable within maxCost (inclusive). It is the
 // one-to-many primitive used by the HMM matcher's transition model;

@@ -2,7 +2,6 @@ package roadnet
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"repro/internal/digiroad"
@@ -174,30 +173,6 @@ func TestTravelTimeWeightPrefersFastRoad(t *testing.T) {
 	}
 	if !almostEq(byTime.Length, geo.Line(0, 0, 150, 120, 300, 0).Length(), 1e-6) {
 		t.Fatalf("time routing should take the fast detour, got length %f", byTime.Length)
-	}
-}
-
-func TestAStarMatchesDijkstra(t *testing.T) {
-	g, err := Build(gridDB(t, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	maxSpeed := g.MaxSpeedKmh() / 3.6
-	for trial := 0; trial < 40; trial++ {
-		from := NodeID(rng.Intn(len(g.Nodes)))
-		to := NodeID(rng.Intn(len(g.Nodes)))
-		d, errD := g.ShortestPath(from, to, TravelTimeWeight)
-		a, errA := g.ShortestPathAStar(from, to, TravelTimeWeight, maxSpeed)
-		if (errD == nil) != (errA == nil) {
-			t.Fatalf("trial %d: error mismatch %v vs %v", trial, errD, errA)
-		}
-		if errD != nil {
-			continue
-		}
-		if !almostEq(d.Cost, a.Cost, 1e-6) {
-			t.Fatalf("trial %d: dijkstra %f vs A* %f", trial, d.Cost, a.Cost)
-		}
 	}
 }
 

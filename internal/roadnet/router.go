@@ -23,9 +23,9 @@ import (
 //     an epoch stamp, so a new search costs one integer increment
 //     instead of fresh map allocations;
 //   - pools the priority queues inside that scratch;
-//   - answers point-to-point queries with bidirectional Dijkstra (or
-//     A* when a heuristic speed is given), touching roughly the square
-//     root of the nodes plain Dijkstra settles;
+//   - answers point-to-point queries with bidirectional Dijkstra,
+//     touching roughly the square root of the nodes plain Dijkstra
+//     settles;
 //   - memoises paths for the canonical weights (DistanceWeight,
 //     TravelTimeWeight) in a sharded LRU cache keyed by
 //     (from, to, weight-kind), with hit/miss counters.
@@ -252,25 +252,7 @@ func (r *Router) ShortestPath(from, to NodeID, weight WeightFunc) (*Path, error)
 	if kind != weightCustom {
 		return r.bidirectional(from, to, weight)
 	}
-	return r.dijkstra(from, to, weight, nil)
-}
-
-// ShortestPathAStar runs A* with an admissible straight-line heuristic:
-// for DistanceWeight semantics use heuristicSpeed <= 1 (metres per cost
-// unit); for TravelTimeWeight pass the network's maximum speed in m/s.
-func (r *Router) ShortestPathAStar(from, to NodeID, weight WeightFunc, heuristicSpeed float64) (*Path, error) {
-	if err := r.checkNodes(from, to); err != nil {
-		return nil, err
-	}
-	if heuristicSpeed <= 0 {
-		heuristicSpeed = 1
-	}
-	weight, _ = classifyWeight(weight)
-	target := r.g.Nodes[to].Pos
-	h := func(n NodeID) float64 {
-		return r.g.Nodes[n].Pos.Dist(target) / heuristicSpeed
-	}
-	return r.dijkstra(from, to, weight, h)
+	return r.dijkstra(from, to, weight)
 }
 
 // ShortestDistances runs bounded Dijkstra from one node and returns the
@@ -305,13 +287,13 @@ func (r *Router) checkNodes(from, to NodeID) error {
 	return nil
 }
 
-// --- unidirectional Dijkstra / A* ------------------------------------------
+// --- unidirectional Dijkstra ------------------------------------------
 
 // dijkstra mirrors the historical map-based implementation on dense
 // scratch: identical relaxation and pop order, so results (including
 // tie-breaks and the edge order seen by stateful custom weights) are
 // byte-identical to the pre-Router code.
-func (r *Router) dijkstra(from, to NodeID, weight WeightFunc, h func(NodeID) float64) (*Path, error) {
+func (r *Router) dijkstra(from, to NodeID, weight WeightFunc) (*Path, error) {
 	g := r.g
 	s := r.getScratch()
 	defer r.putScratch(s)
@@ -323,14 +305,7 @@ func (r *Router) dijkstra(from, to NodeID, weight WeightFunc, h func(NodeID) flo
 	b.prevNode[from] = from
 	b.touched = append(b.touched, from)
 
-	push := func(n NodeID, cost float64) {
-		est := cost
-		if h != nil {
-			est += h(n)
-		}
-		heap.Push(&b.pq, pqItem{node: n, cost: est})
-	}
-	push(from, 0)
+	heap.Push(&b.pq, pqItem{node: from, cost: 0})
 
 	for b.pq.Len() > 0 {
 		it := heap.Pop(&b.pq).(pqItem)
@@ -358,7 +333,7 @@ func (r *Router) dijkstra(from, to NodeID, weight WeightFunc, h func(NodeID) flo
 			}
 			v := e.Other(u)
 			if b.relax(epoch, v, du+w, eid, u) {
-				push(v, du+w)
+				heap.Push(&b.pq, pqItem{node: v, cost: du + w})
 			}
 		}
 	}

@@ -133,15 +133,6 @@ func Split(t *trace.Trip, rules Rules, stats *Stats) []*trace.Trip {
 	return kept
 }
 
-// SplitAll segments a batch of cleaned trips.
-func SplitAll(trips []*trace.Trip, rules Rules, stats *Stats) []*trace.Trip {
-	var out []*trace.Trip
-	for _, t := range trips {
-		out = append(out, Split(t, rules, stats)...)
-	}
-	return out
-}
-
 // splitOnce breaks the trip at every detected stop. Rule 1 (and its
 // rule 5 variant on the re-split round) is a *window* rule: the device
 // keeps emitting heartbeat points while the taxi stands, so stillness

@@ -207,14 +207,19 @@ func TestSegmentsPreserveIDAndDistinctKeys(t *testing.T) {
 	}
 }
 
-func TestSplitAllStats(t *testing.T) {
+// TestSplitStatsAccumulate: one Stats shared across Split calls sums
+// over every trip of a car.
+func TestSplitStatsAccumulate(t *testing.T) {
 	a := newBuilder().drive(8, 100, 30*time.Second).tr
 	b := newBuilder().
 		drive(6, 100, 30*time.Second).
 		idle(5*time.Minute, 80*time.Second).
 		drive(6, 100, 30*time.Second).tr
 	var stats Stats
-	segs := SplitAll([]*trace.Trip{a, b}, DefaultRules(), &stats)
+	var segs []*trace.Trip
+	for _, tr := range []*trace.Trip{a, b} {
+		segs = append(segs, Split(tr, DefaultRules(), &stats)...)
+	}
 	if stats.InputTrips != 2 {
 		t.Fatalf("InputTrips = %d", stats.InputTrips)
 	}

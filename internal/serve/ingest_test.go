@@ -32,7 +32,6 @@ func ingestPipeline(t *testing.T) *core.Pipeline {
 	ingestPipe.once.Do(func() {
 		ingestPipe.p, ingestPipe.err = core.NewPipeline(core.Config{
 			CitySeed: 42,
-			Layout:   core.LayoutLegacy,
 			Fleet: tracegen.Config{
 				Seed: 42, Cars: 2, TripsPerCar: 2, GateRunFraction: 0.3,
 			},

@@ -52,8 +52,8 @@ import (
 // Decoding is strict: a wrong magic or unknown version is a typed
 // error, every length is bounds-checked against the remaining input
 // before any allocation, and embedded histograms go through the obs
-// decoder so a corrupt or cross-layout blob can never silently enter a
-// merge.
+// decoder so a corrupt blob, or one from another histogram layout, can
+// never silently enter a merge.
 var snapshotMagic = [8]byte{'T', 'A', 'X', 'I', 'S', 'N', 'P', 'B'}
 
 const (

@@ -112,8 +112,8 @@ func welfordOfMetric(m MetricStats) stats.Welford {
 
 // mergeODStats folds two aggregates of the same direction. The frozen
 // travel-time histograms merge bucket-exactly; a layout mismatch
-// (obs.ErrLayoutMismatch) propagates — cross-layout counts are never
-// combined.
+// (obs.ErrLayoutMismatch) propagates — counts under different layouts
+// are never combined.
 func mergeODStats(a, b ODStats) (ODStats, error) {
 	hist, err := a.TravelTimeS.Merge(b.TravelTimeS)
 	if err != nil {

@@ -220,7 +220,7 @@ func TestMergeSnapshotsRejectsLayoutMismatch(t *testing.T) {
 	_, whole := mergeFleet(t)
 
 	// Re-decode the fleet snapshot with a tampered histogram layout
-	// stamp: the cross-layout rejection must survive the wire. Merging
+	// stamp: the layout-mismatch rejection must survive the wire. Merging
 	// with the untampered original overlaps on every direction, so the
 	// foreign layout is guaranteed to meet a native one.
 	blob := EncodeSnapshot(whole)

@@ -98,21 +98,18 @@ func (a *Arena) Alloc(id int64, carID, n int) ColTrip {
 }
 
 // Bounds on times representable in the int64-nanosecond column
-// (roughly 1678..2262). Trips outside — including zero times — must
-// stay on the row-oriented path.
+// (roughly 1678..2262); the zero time lies outside.
 var (
 	minColTime = time.Unix(0, math.MinInt64)
 	maxColTime = time.Unix(0, math.MaxInt64)
 )
 
 // AppendTrip copies a trip's points into the arena and returns the
-// view. It fails, leaving the arena unchanged, when the trip cannot be
-// represented columnarly without information loss: a point id outside
-// int32, a timestamp outside the nanosecond-representable window or
-// not in UTC, or a point whose TripID disagrees with the trip (the
-// columnar layout stores trip identity once, so a mismatch could not
-// be reproduced when materialising). Callers fall back to the
-// row-oriented path on error.
+// view. It fails, leaving the arena unchanged, when a point id
+// overflows int32 or a time lies outside the nanosecond-representable
+// window (the trace readers and ingest admission refuse such points
+// first). The view keeps the trip's id, not each point's TripID, and
+// reads times back in UTC.
 func (a *Arena) AppendTrip(t *Trip) (ColTrip, error) {
 	for i := range t.Points {
 		p := &t.Points[i]
@@ -121,12 +118,6 @@ func (a *Arena) AppendTrip(t *Trip) (ColTrip, error) {
 		}
 		if p.Time.Before(minColTime) || p.Time.After(maxColTime) {
 			return ColTrip{}, fmt.Errorf("trace: trip %d time %v outside columnar range", t.ID, p.Time)
-		}
-		if p.Time.Location() != time.UTC {
-			return ColTrip{}, fmt.Errorf("trace: trip %d time %v not UTC", t.ID, p.Time)
-		}
-		if p.TripID != t.ID {
-			return ColTrip{}, fmt.Errorf("trace: trip %d contains point of trip %d", t.ID, p.TripID)
 		}
 	}
 	v := a.Alloc(t.ID, t.CarID, len(t.Points))

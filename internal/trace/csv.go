@@ -122,13 +122,18 @@ func parsePointRecord(rec []string, proj *geo.Projection) (RoutePoint, int, erro
 	if err != nil {
 		return RoutePoint{}, 0, fmt.Errorf("trip_id: %w", err)
 	}
-	pointID, err := strconv.Atoi(rec[2])
+	// Point ids and times are bounded like the binary format's, so
+	// every row fits the columnar store.
+	pointID, err := strconv.ParseInt(rec[2], 10, 32)
 	if err != nil {
 		return RoutePoint{}, 0, fmt.Errorf("point_id: %w", err)
 	}
 	unixMs, err := strconv.ParseInt(rec[3], 10, 64)
 	if err != nil {
 		return RoutePoint{}, 0, fmt.Errorf("unix_ms: %w", err)
+	}
+	if unixMs < -MaxEventTimeMs || unixMs > MaxEventTimeMs {
+		return RoutePoint{}, 0, fmt.Errorf("unix_ms: %d out of range", unixMs)
 	}
 	lon, err := strconv.ParseFloat(rec[4], 64)
 	if err != nil {
@@ -151,7 +156,7 @@ func parsePointRecord(rec []string, proj *geo.Projection) (RoutePoint, int, erro
 		return RoutePoint{}, 0, fmt.Errorf("dist_m: %w", err)
 	}
 	return RoutePoint{
-		PointID:  pointID,
+		PointID:  int(pointID),
 		TripID:   tripID,
 		Pos:      proj.ToXY(geo.Point{Lon: lon, Lat: lat}),
 		Time:     time.UnixMilli(unixMs).UTC(),

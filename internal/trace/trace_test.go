@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,37 @@ func TestReadCSVErrors(t *testing.T) {
 		if _, err := ReadCSV(strings.NewReader(in), proj); err == nil {
 			t.Errorf("case %d accepted malformed input", i)
 		}
+	}
+}
+
+// TestReadCSVRejectsOutOfRange: rows whose point id overflows int32 or
+// whose time lies past ±MaxEventTimeMs are parse errors naming their
+// line, like the binary readers' refusals; the limits themselves pass.
+func TestReadCSVRejectsOutOfRange(t *testing.T) {
+	proj := geo.NewProjection(geo.Point{Lon: 25.47, Lat: 65.01})
+	const head = "car_id,trip_id,point_id,unix_ms,lon,lat,speed_kmh,fuel_ml,dist_m\n"
+	const good = "1,1,1,0,25.47,65.01,0,0,0\n"
+	row := func(id, ms string) string { return "1,1," + id + "," + ms + ",25.47,65.01,0,0,0\n" }
+	past := strconv.FormatInt(MaxEventTimeMs+1, 10)
+	for name, bad := range map[string]string{
+		"point id 2^31":      row("2147483648", "1000"),
+		"time past limit":    row("2", past),
+		"time before -limit": row("2", "-"+past),
+	} {
+		_, err := ReadCSV(strings.NewReader(head+good+bad), proj)
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%s: err = %v, want a line 3 parse error", name, err)
+		}
+	}
+	edge := head + row("2147483647", strconv.FormatInt(MaxEventTimeMs, 10)) +
+		row("-2147483648", strconv.FormatInt(-MaxEventTimeMs, 10))
+	trips, err := ReadCSV(strings.NewReader(edge), proj)
+	if err != nil || len(trips) != 1 || len(trips[0].Points) != 2 {
+		t.Fatalf("rows at the limits: trips=%v err=%v", trips, err)
+	}
+	a := NewArena(0)
+	if _, err := a.AppendTrip(trips[0]); err != nil {
+		t.Fatalf("a CSV trip at the limits does not fit the column store: %v", err)
 	}
 }
 

@@ -34,7 +34,6 @@ const obsBenchCars = 1000
 func obsPipeline(b *testing.B, tr *obs.Tracer, lin *obs.Lineage, reg *obs.Registry) *core.Pipeline {
 	b.Helper()
 	p, err := core.NewPipeline(core.Config{
-		Layout:   core.LayoutColumnar,
 		CitySeed: fleetSeed,
 		Fleet: tracegen.Config{
 			Seed:            fleetSeed,

@@ -44,12 +44,12 @@
 // isolated as a typed CarError and reported alongside the other cars'
 // results; Config.MaxFailures bounds how much failure the run
 // tolerates before aborting, and Pipeline.Stream exposes the per-car
-// results incrementally as they complete. The execution surface is
-// context-first throughout: RunContext, RunCarContext and
-// ProcessContext (the historical ctx-free Run/RunCar/Process wrappers
-// have been removed), plus Pipeline.AnalyseSegments for callers that
-// segment incrementally, such as the event-time ingest layer
-// (internal/ingest).
+// results incrementally as they complete. Recorded trips (a trace file
+// replay) run on the same runner through Pipeline.RunTrips. The
+// execution surface is context-first throughout: RunContext,
+// RunTrips, RunCarContext and ProcessContext, plus
+// Pipeline.AnalyseSegments for callers that segment incrementally,
+// such as the event-time ingest layer (internal/ingest).
 //
 // The experiments subpackage (internal/experiments) regenerates every
 // table and figure of the paper; cmd/experiments writes them to disk.
@@ -67,22 +67,6 @@ type Config = core.Config
 
 // Pipeline is a ready-to-run reproduction pipeline.
 type Pipeline = core.Pipeline
-
-// Layout selects the point-storage layout for the per-car hot path
-// (Config.Layout): columnar struct-of-arrays by default, with the
-// row-oriented legacy path available for differential testing.
-type Layout = core.Layout
-
-// Layout values.
-const (
-	LayoutAuto     = core.LayoutAuto
-	LayoutColumnar = core.LayoutColumnar
-	LayoutLegacy   = core.LayoutLegacy
-)
-
-// ParseLayout parses a -layout style flag value ("", "auto",
-// "columnar", "legacy").
-func ParseLayout(s string) (Layout, error) { return core.ParseLayout(s) }
 
 // Result is the full fleet output of Pipeline.Run.
 type Result = core.Result
