@@ -153,12 +153,12 @@ func NewAggregator(g *Grid) *Aggregator {
 	return &Aggregator{Grid: g, cells: map[CellID]*Cell{}}
 }
 
-// Add folds one point speed into its cell; points outside the study
-// area are ignored and reported false.
-func (a *Aggregator) Add(p geo.XY, speedKmh float64) bool {
+// Add folds one point speed into its cell and returns that cell's id;
+// points outside the study area are ignored and reported false.
+func (a *Aggregator) Add(p geo.XY, speedKmh float64) (CellID, bool) {
 	id, ok := a.Grid.CellOf(p)
 	if !ok {
-		return false
+		return CellID{}, false
 	}
 	c := a.cells[id]
 	if c == nil {
@@ -166,31 +166,7 @@ func (a *Aggregator) Add(p geo.XY, speedKmh float64) bool {
 		a.cells[id] = c
 	}
 	c.Speed.Add(speedKmh)
-	return true
-}
-
-// Merge folds another aggregation over the same grid frame into a:
-// per-cell speed moments combine via Welford merge and feature counts
-// are taken from whichever side has them attached. This is what makes
-// the aggregation shardable — per-worker (or per-epoch) aggregators
-// merge into the same totals a single sequential pass produces, up to
-// float rounding in the moments.
-func (a *Aggregator) Merge(src *Aggregator) {
-	if src == nil {
-		return
-	}
-	for id, sc := range src.cells {
-		c := a.cells[id]
-		if c == nil {
-			cp := *sc
-			a.cells[id] = &cp
-			continue
-		}
-		c.Speed.Merge(sc.Speed)
-		if c.Features == (CellFeatures{}) {
-			c.Features = sc.Features
-		}
-	}
+	return id, true
 }
 
 // Cell returns the aggregated cell, or nil when it has no data.

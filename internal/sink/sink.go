@@ -14,9 +14,20 @@
 //     per-car absorption from parallel runner workers contends only
 //     within a shard and every shard always holds a whole number of
 //     cars.
-//   - Publish merges the shards (grid aggregators via Welford merge,
-//     travel-time histograms via exact bucket-count merge) into a fresh
-//     *Snapshot and swaps it in with one atomic pointer store.
+//   - Publish is incremental. Each shard records the cells, OD
+//     directions and edge-profile buckets it absorbed into since the
+//     last publish (its dirty keys). Publish locks every shard, drains
+//     the dirty sets and recomputes only those keys; every other entry
+//     is copied from the previous epoch, whose values it shares (cell
+//     and profile stats are plain values, travel-time histograms are
+//     immutable FrozenHistograms). The new *Snapshot is swapped in with
+//     one atomic pointer store; earlier epochs are never mutated.
+//   - A dirty key is merged from empty across the shards in index
+//     order — Welford merge for moments, exact bucket-count merge for
+//     histograms, addition for counts. That is the sequence of merges a
+//     from-scratch rebuild of every key would perform, so an epoch is
+//     bit-identical to a one-shot publish of the same absorbed state
+//     (TestIncrementalPublishMatchesOneShot).
 //   - Readers call Snapshot() — a single atomic load. A reader holds one
 //     immutable epoch forever; there is nothing to tear and nothing to
 //     lock.
@@ -31,6 +42,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -51,7 +63,7 @@ type Config struct {
 	Grid *grid.Grid
 	// Shards is the ingest shard count (default GOMAXPROCS). More
 	// shards mean less lock contention between runner workers and
-	// proportionally more merge work per publish.
+	// proportionally more merge work per recomputed key on publish.
 	Shards int
 	// PublishEvery is the auto-publish cadence in absorbed cars: after
 	// every PublishEvery-th car a new epoch is published (default 1 —
@@ -115,6 +127,9 @@ type Sink struct {
 	// Both are guarded by pubMu (the checker runs only inside publish).
 	checker  *check.Validator
 	checkErr error
+	// pending unions the shards' dirty keys during one publish (guarded
+	// by pubMu, emptied after use so its maps keep their capacity).
+	pending keySet
 
 	met sinkMetrics
 }
@@ -131,6 +146,39 @@ type shard struct {
 	// profiles accumulates per-edge pace observations (seconds per km
 	// by edge and hour bucket) from the shard's matched routes.
 	profiles map[EdgeProfileKey]*stats.Welford
+	// dirty holds the keys absorbed into since the last publish.
+	dirty keySet
+}
+
+// keySet is a set of snapshot keys, one map per snapshot table.
+type keySet struct {
+	cells    map[grid.CellID]struct{}
+	od       map[ODKey]struct{}
+	profiles map[EdgeProfileKey]struct{}
+}
+
+func newKeySet() keySet {
+	return keySet{
+		cells:    map[grid.CellID]struct{}{},
+		od:       map[ODKey]struct{}{},
+		profiles: map[EdgeProfileKey]struct{}{},
+	}
+}
+
+func (k *keySet) len() int { return len(k.cells) + len(k.od) + len(k.profiles) }
+
+// drainInto moves every key of k into dst, leaving k empty.
+func (k *keySet) drainInto(dst *keySet) {
+	maps.Copy(dst.cells, k.cells)
+	maps.Copy(dst.od, k.od)
+	maps.Copy(dst.profiles, k.profiles)
+	k.clear()
+}
+
+func (k *keySet) clear() {
+	clear(k.cells)
+	clear(k.od)
+	clear(k.profiles)
 }
 
 // odAcc accumulates one direction's transition statistics.
@@ -152,6 +200,7 @@ type sinkMetrics struct {
 	publishes    *obs.Counter
 	absorbTime   *obs.Histogram
 	publishTime  *obs.Histogram
+	publishKeys  *obs.Histogram
 	epoch        *obs.Gauge
 	cells        *obs.Gauge
 	odPairs      *obs.Gauge
@@ -170,12 +219,14 @@ func New(cfg Config) (*Sink, error) {
 		cfg:     cfg,
 		shards:  make([]*shard, cfg.Shards),
 		checker: check.New(cfg.Check, cfg.Gates, nil, cfg.Metrics),
+		pending: newKeySet(),
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			agg:      grid.NewAggregator(cfg.Grid),
 			od:       map[ODKey]*odAcc{},
 			profiles: map[EdgeProfileKey]*stats.Welford{},
+			dirty:    newKeySet(),
 		}
 	}
 	reg := cfg.Metrics
@@ -185,6 +236,7 @@ func New(cfg Config) (*Sink, error) {
 		publishes:    reg.Counter("sink_publishes"),
 		absorbTime:   reg.Histogram("sink_absorb_seconds"),
 		publishTime:  reg.Histogram("sink_publish_seconds"),
+		publishKeys:  reg.Histogram("sink_publish_keys"),
 		epoch:        reg.Gauge("sink_epoch"),
 		cells:        reg.Gauge("sink_cells_nonempty"),
 		odPairs:      reg.Gauge("sink_od_pairs"),
@@ -293,11 +345,10 @@ func (s *Sink) CarComplete(car int) {
 	}
 }
 
+// shardFor maps a car to its shard. The modulo is unsigned so every
+// int, math.MinInt included, lands on a valid index.
 func (s *Sink) shardFor(car int) *shard {
-	if car < 0 {
-		car = -car
-	}
-	return s.shards[car%len(s.shards)]
+	return s.shards[uint(car)%uint(len(s.shards))]
 }
 
 // absorb folds one car in; the caller holds the shard lock.
@@ -307,12 +358,14 @@ func (sh *shard) absorb(cr *core.CarResult) {
 }
 
 // absorbTransitions folds transition records into the shard's grid and
-// OD accumulators; the caller holds the shard lock.
+// OD accumulators and marks every key it touched dirty; the caller
+// holds the shard lock.
 func (sh *shard) absorbTransitions(recs []*core.TransitionRecord) {
 	for _, rec := range recs {
 		for _, sp := range core.TransitionSpeedPoints(rec) {
-			if sh.agg.Add(sp.Pos, sp.SpeedKmh) {
+			if id, ok := sh.agg.Add(sp.Pos, sp.SpeedKmh); ok {
 				sh.points++
+				sh.dirty.cells[id] = struct{}{}
 			}
 		}
 		key := ODKey{From: rec.Transition.From, To: rec.Transition.To}
@@ -321,6 +374,7 @@ func (sh *shard) absorbTransitions(recs []*core.TransitionRecord) {
 			od = &odAcc{from: key.From, to: key.To, travel: &obs.Histogram{}}
 			sh.od[key] = od
 		}
+		sh.dirty.od[key] = struct{}{}
 		od.trips++
 		od.travel.Observe(rec.RouteTimeH * 3600)
 		od.distKm.Add(rec.RouteDistKm)
@@ -339,14 +393,15 @@ func (sh *shard) absorbTransitions(recs []*core.TransitionRecord) {
 				sh.profiles[key] = w
 			}
 			w.Add(ep.SecPerKm)
+			sh.dirty.profiles[key] = struct{}{}
 		}
 	}
 }
 
-// Publish merges the shards into a fresh immutable snapshot, bumps the
-// epoch and swaps it in. Publishes are serialised; readers are never
-// blocked (they keep whatever epoch they already loaded). Returns the
-// published snapshot.
+// Publish builds the next immutable snapshot from the previous one and
+// the keys absorbed into since, bumps the epoch and swaps it in.
+// Publishes are serialised; readers are never blocked (they keep
+// whatever epoch they already loaded). Returns the published snapshot.
 func (s *Sink) Publish() *Snapshot { return s.publish(false) }
 
 // Seal publishes the final snapshot with Complete set — the run is
@@ -363,84 +418,45 @@ func (s *Sink) publish(complete bool) *Snapshot {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 
+	// Start from a copy of the previous epoch: only pubMu writes cur, so
+	// prev is stable, and it is immutable, so its values are shared.
+	prev := s.cur.Load()
 	snap := &Snapshot{
-		Grid:     s.cfg.Grid,
-		Complete: complete || s.sealed.Load(),
-		Cells:    map[grid.CellID]CellStats{},
-		OD:       map[ODKey]ODStats{},
-		Gates:    s.cfg.Gates,
+		Grid:         s.cfg.Grid,
+		Complete:     complete || s.sealed.Load(),
+		Cells:        maps.Clone(prev.Cells),
+		OD:           maps.Clone(prev.OD),
+		Gates:        s.cfg.Gates,
+		EdgeProfiles: maps.Clone(prev.EdgeProfiles),
 	}
-	merged := grid.NewAggregator(s.cfg.Grid)
-	type odMerge struct {
-		acc    odAcc
-		travel *obs.Histogram
-	}
-	ods := map[ODKey]*odMerge{}
-	profiles := map[EdgeProfileKey]*stats.Welford{}
-	// Merge shard-by-shard in index order: each shard is locked only
-	// while it is copied, so ingest into other shards proceeds in
-	// parallel with the merge.
+	// Lock every shard, in index order, for one consistent cut of whole
+	// cars. Absorbs hold at most one shard lock, so this cannot
+	// deadlock; the locks are held only while the dirty keys merge.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		snap.CarsIngested += sh.cars
 		snap.CarsFailed += sh.failed
 		snap.Points += sh.points
-		merged.Merge(sh.agg)
-		for dir, od := range sh.od {
-			m := ods[dir]
-			if m == nil {
-				m = &odMerge{acc: odAcc{from: od.from, to: od.to}, travel: &obs.Histogram{}}
-				ods[dir] = m
-			}
-			m.acc.trips += od.trips
-			m.travel.Merge(od.travel)
-			m.acc.distKm.Merge(od.distKm)
-			m.acc.fuelMl.Merge(od.fuelMl)
-			m.acc.lowPct.Merge(od.lowPct)
-			m.acc.normalPct.Merge(od.normalPct)
-			m.acc.lights += od.lights
-			m.acc.busStops += od.busStops
-			m.acc.pedestrian += od.pedestrian
-			m.acc.junctions += od.junctions
-		}
-		for key, w := range sh.profiles {
-			m := profiles[key]
-			if m == nil {
-				m = &stats.Welford{}
-				profiles[key] = m
-			}
-			m.Merge(*w)
-		}
+		sh.dirty.drainInto(&s.pending)
+	}
+	for id := range s.pending.cells {
+		snap.Cells[id] = s.mergeCell(id)
+	}
+	for key := range s.pending.od {
+		snap.OD[key] = s.mergeOD(key)
+	}
+	if snap.EdgeProfiles == nil && len(s.pending.profiles) > 0 {
+		snap.EdgeProfiles = make(map[EdgeProfileKey]EdgeProfileStats, len(s.pending.profiles))
+	}
+	for key := range s.pending.profiles {
+		snap.EdgeProfiles[key] = s.mergeProfile(key)
+	}
+	for _, sh := range s.shards {
 		sh.mu.Unlock()
 	}
-	for _, c := range merged.Cells() {
-		snap.Cells[c.ID] = newCellStats(c)
-	}
-	if len(profiles) > 0 {
-		snap.EdgeProfiles = make(map[EdgeProfileKey]EdgeProfileStats, len(profiles))
-		for key, w := range profiles {
-			snap.EdgeProfiles[key] = newEdgeProfileStats(w)
-		}
-	}
-	for dir, m := range ods {
-		snap.OD[dir] = ODStats{
-			From:           m.acc.from,
-			To:             m.acc.to,
-			Trips:          m.acc.trips,
-			TravelTimeS:    m.travel.Freeze(),
-			DistKm:         summarize(m.acc.distKm),
-			FuelMl:         summarize(m.acc.fuelMl),
-			LowSpeedPct:    summarize(m.acc.lowPct),
-			NormalSpeedPct: summarize(m.acc.normalPct),
-			Attrs: AttrTotals{
-				TrafficLights:       m.acc.lights,
-				BusStops:            m.acc.busStops,
-				PedestrianCrossings: m.acc.pedestrian,
-				Junctions:           m.acc.junctions,
-			},
-		}
-	}
-	prev := s.cur.Load()
+	keys := s.pending.len()
+	s.pending.clear()
+
 	snap.Epoch = prev.Epoch + 1
 	snap.PublishedAt = s.cfg.Now()
 	if err := s.checker.SnapshotTransition(
@@ -453,6 +469,7 @@ func (s *Sink) publish(complete bool) *Snapshot {
 
 	s.met.publishes.Inc()
 	s.met.publishTime.Observe(time.Since(start).Seconds())
+	s.met.publishKeys.Observe(float64(keys))
 	s.met.epoch.Set(int64(snap.Epoch))
 	s.met.cells.Set(int64(len(snap.Cells)))
 	s.met.odPairs.Set(int64(len(snap.OD)))
@@ -472,4 +489,63 @@ func (s *Sink) publish(complete bool) *Snapshot {
 			slog.Bool("complete", snap.Complete))
 	}
 	return snap
+}
+
+// The merge helpers below recompute one key from empty, visiting the
+// shards in index order; the caller holds pubMu and every shard lock.
+
+func (s *Sink) mergeCell(id grid.CellID) CellStats {
+	var w stats.Welford
+	for _, sh := range s.shards {
+		if c := sh.agg.Cell(id); c != nil {
+			w.Merge(c.Speed)
+		}
+	}
+	return newCellStats(&w)
+}
+
+func (s *Sink) mergeOD(key ODKey) ODStats {
+	m := odAcc{from: key.From, to: key.To, travel: &obs.Histogram{}}
+	for _, sh := range s.shards {
+		od := sh.od[key]
+		if od == nil {
+			continue
+		}
+		m.trips += od.trips
+		m.travel.Merge(od.travel)
+		m.distKm.Merge(od.distKm)
+		m.fuelMl.Merge(od.fuelMl)
+		m.lowPct.Merge(od.lowPct)
+		m.normalPct.Merge(od.normalPct)
+		m.lights += od.lights
+		m.busStops += od.busStops
+		m.pedestrian += od.pedestrian
+		m.junctions += od.junctions
+	}
+	return ODStats{
+		From:           m.from,
+		To:             m.to,
+		Trips:          m.trips,
+		TravelTimeS:    m.travel.Freeze(),
+		DistKm:         summarize(m.distKm),
+		FuelMl:         summarize(m.fuelMl),
+		LowSpeedPct:    summarize(m.lowPct),
+		NormalSpeedPct: summarize(m.normalPct),
+		Attrs: AttrTotals{
+			TrafficLights:       m.lights,
+			BusStops:            m.busStops,
+			PedestrianCrossings: m.pedestrian,
+			Junctions:           m.junctions,
+		},
+	}
+}
+
+func (s *Sink) mergeProfile(key EdgeProfileKey) EdgeProfileStats {
+	var w stats.Welford
+	for _, sh := range s.shards {
+		if p := sh.profiles[key]; p != nil {
+			w.Merge(*p)
+		}
+	}
+	return newEdgeProfileStats(&w)
 }

@@ -279,7 +279,7 @@ func TestFinalSnapshotMatchesBatch(t *testing.T) {
 	points := 0
 	for _, rec := range recs {
 		for _, sp := range core.TransitionSpeedPoints(rec) {
-			if ref.Add(sp.Pos, sp.SpeedKmh) {
+			if _, ok := ref.Add(sp.Pos, sp.SpeedKmh); ok {
 				points++
 			}
 		}
@@ -504,7 +504,7 @@ func TestFinalSnapshotMatchesBatchUnderFaults(t *testing.T) {
 	points := 0
 	for _, rec := range recs {
 		for _, sp := range core.TransitionSpeedPoints(rec) {
-			if ref.Add(sp.Pos, sp.SpeedKmh) {
+			if _, ok := ref.Add(sp.Pos, sp.SpeedKmh); ok {
 				points++
 			}
 		}

@@ -194,13 +194,13 @@ func (s *Snapshot) CellIDs() []grid.CellID {
 	return out
 }
 
-// newCellStats freezes one aggregated cell.
-func newCellStats(c *grid.Cell) CellStats {
-	cs := CellStats{N: c.Speed.N(), MeanKmh: c.Speed.Mean()}
+// newCellStats freezes one cell's merged speed accumulator.
+func newCellStats(w *stats.Welford) CellStats {
+	cs := CellStats{N: w.N(), MeanKmh: w.Mean()}
 	if cs.N >= 2 {
-		cs.VarKmh = c.Speed.Variance()
+		cs.VarKmh = w.Variance()
 	}
-	cs.MinKmh, cs.MaxKmh = c.Speed.Min(), c.Speed.Max()
+	cs.MinKmh, cs.MaxKmh = w.Min(), w.Max()
 	return cs
 }
 

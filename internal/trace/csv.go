@@ -114,7 +114,8 @@ func ReadCSV(r io.Reader, proj *geo.Projection) ([]*Trip, error) {
 }
 
 func parsePointRecord(rec []string, proj *geo.Projection) (RoutePoint, int, error) {
-	carID, err := strconv.Atoi(rec[0])
+	// Car ids are bounded to int32 like the binary formats' car column.
+	carID, err := strconv.ParseInt(rec[0], 10, 32)
 	if err != nil {
 		return RoutePoint{}, 0, fmt.Errorf("car_id: %w", err)
 	}
@@ -163,5 +164,5 @@ func parsePointRecord(rec []string, proj *geo.Projection) (RoutePoint, int, erro
 		SpeedKmh: speed,
 		FuelMl:   fuel,
 		DistM:    dist,
-	}, carID, nil
+	}, int(carID), nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -181,6 +182,28 @@ func TestReadCSVRejectsOutOfRange(t *testing.T) {
 	a := NewArena(0)
 	if _, err := a.AppendTrip(trips[0]); err != nil {
 		t.Fatalf("a CSV trip at the limits does not fit the column store: %v", err)
+	}
+}
+
+// TestReadCSVRejectsOutOfRangeCarID: a car id outside int32 — the
+// range TAXITRCB and TAXIPNTB carry — is a parse error naming its line;
+// both int32 limits pass.
+func TestReadCSVRejectsOutOfRangeCarID(t *testing.T) {
+	proj := geo.NewProjection(geo.Point{Lon: 25.47, Lat: 65.01})
+	const head = "car_id,trip_id,point_id,unix_ms,lon,lat,speed_kmh,fuel_ml,dist_m\n"
+	row := func(car, trip string) string { return car + "," + trip + ",1,0,25.47,65.01,0,0,0\n" }
+	for _, car := range []string{"2147483648", "-2147483649", "-9223372036854775808"} {
+		_, err := ReadCSV(strings.NewReader(head+row("1", "1")+row(car, "2")), proj)
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("car id %s: err = %v, want a line 3 parse error", car, err)
+		}
+	}
+	trips, err := ReadCSV(strings.NewReader(head+row("2147483647", "1")+row("-2147483648", "2")), proj)
+	if err != nil || len(trips) != 2 {
+		t.Fatalf("car ids at the int32 limits: trips=%v err=%v", trips, err)
+	}
+	if trips[0].CarID != math.MinInt32 || trips[1].CarID != math.MaxInt32 {
+		t.Fatalf("car ids = %d, %d", trips[0].CarID, trips[1].CarID)
 	}
 }
 
