@@ -16,7 +16,7 @@ help:
 	@echo "           shared Router: pooled scratch, sharded path cache and"
 	@echo "           parallel per-car workers all run under the race detector)"
 	@echo "  ci       the full gate CI runs: build + vet + test + race, plus"
-	@echo "           the sink/trace/serve/ingest tests at GOMAXPROCS=3"
+	@echo "           the sink/trace/serve/ingest/predict tests at GOMAXPROCS=3"
 	@echo "  fuzz     run every native fuzz target for FUZZTIME (default 30s)"
 	@echo "           each; seed corpora live in testdata/fuzz/"
 	@echo "  bench    run every benchmark with -benchmem"
@@ -69,13 +69,14 @@ race:
 # The full gate: what .github/workflows/ci.yml runs on every push/PR.
 # The GOMAXPROCS=3 pass gives the sink a non-power-of-two default shard
 # count, so 3-shard merge order and car-to-shard mapping run on every
-# CI host whatever its core count.
+# CI host whatever its core count, and runs the predictor's concurrent
+# cost-table memo tests with more goroutines than a small host's cores.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	GOMAXPROCS=3 $(GO) test -count=1 ./internal/sink/ ./internal/trace/ ./internal/serve/ ./internal/ingest/
+	GOMAXPROCS=3 $(GO) test -count=1 ./internal/sink/ ./internal/trace/ ./internal/serve/ ./internal/ingest/ ./internal/predict/
 
 # Fuzz smoke: run every native fuzz target for FUZZTIME each. Go allows
 # one -fuzz pattern per package invocation, so iterate explicitly. The

@@ -48,7 +48,8 @@ func benchGraph(b *testing.B, n int) (*roadnet.Graph, *roadnet.Router) {
 }
 
 // benchSnapshot profiles every edge of the graph at three rush hours,
-// the worst case for profileFor (the whole map is scanned per query).
+// the worst case for a cost-table build (every bucket is sorted and
+// folded).
 func benchSnapshot(g *roadnet.Graph) *sink.Snapshot {
 	profiles := map[sink.EdgeProfileKey]sink.EdgeProfileStats{}
 	for i := range g.Edges {
@@ -63,8 +64,12 @@ func benchSnapshot(g *roadnet.Graph) *sink.Snapshot {
 }
 
 // BenchmarkPredict measures one end-to-end /v1/predict evaluation —
-// profile fold, weighted shortest path, prediction assembly — against
-// a 24x24 street grid, with and without learned profiles.
+// weighted shortest path over the snapshot's cost table and prediction
+// assembly — against a 24x24 street grid, with and without learned
+// profiles. The warm cases reuse one snapshot, so its cost table is
+// built once; profiled_hour_fresh_snapshot hands in a new snapshot
+// pointer every iteration, as a firehose publishing a new epoch per
+// query would, so each iteration also sorts and folds every bucket.
 func BenchmarkPredict(b *testing.B) {
 	g, r := benchGraph(b, 24)
 	from := geo.XY{X: 0, Y: 0}
@@ -88,6 +93,17 @@ func BenchmarkPredict(b *testing.B) {
 			}
 		})
 	}
+	b.Run(fmt.Sprintf("profiled_hour_fresh_snapshot/edges=%d", len(g.Edges)), func(b *testing.B) {
+		pr := NewPredictor(g, r)
+		snap := benchSnapshot(g)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fresh := *snap
+			if _, err := pr.Predict(&fresh, from, to, 8); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	// The serving path answers concurrent queries over one shared
 	// predictor and snapshot; GOMAXPROCS goroutines stress exactly that.
 	b.Run(fmt.Sprintf("profiled_hour_concurrent/edges=%d", len(g.Edges)), func(b *testing.B) {

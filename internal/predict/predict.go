@@ -14,15 +14,21 @@
 // n/(n+k) on its own mean and k/(n+k) on the global one, so a single
 // noisy traversal cannot dominate an edge cost.
 //
-// Everything here reads immutable sink snapshots: a Predictor carries
-// only the graph and router (safe for concurrent use), and every answer
-// is a pure function of one snapshot, which keeps the /v1 ETag contract
-// (equal epochs imply equal answers) intact.
+// Everything here reads immutable sink snapshots, and every answer is a
+// pure function of one snapshot, which keeps the /v1 ETag contract
+// (equal epochs imply equal answers) intact. A Predictor carries the
+// graph, the router and a memo of the learned edge costs of the last
+// snapshot it served: the per-hour cost tables depend on the snapshot
+// and hour but not on the query, so each is built once (on the first
+// query that needs it) and every later query on that snapshot only runs
+// Dijkstra over it. Predictors are safe for concurrent use.
 package predict
 
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -36,9 +42,9 @@ import (
 // global prior.
 const DefaultShrinkK = 8
 
-// Predictor answers OD travel-time queries over one road graph. All
-// fields are read-only after construction; methods are safe for
-// concurrent use.
+// Predictor answers OD travel-time queries over one road graph. The
+// exported fields are read-only once serving starts; methods are safe
+// for concurrent use.
 type Predictor struct {
 	Graph  *roadnet.Graph
 	Router *roadnet.Router
@@ -47,13 +53,21 @@ type Predictor struct {
 	// raw).
 	ShrinkK float64
 
+	// memo holds the edge-cost tables of the last snapshot served. It is
+	// keyed by snapshot pointer (and the effective ShrinkK), not epoch:
+	// distinct snapshots may share an epoch (a restarted coordinator's
+	// merge sequence starts over). Replacing it drops the previous
+	// snapshot, so the memo pins at most one superseded snapshot.
+	memo atomic.Pointer[costMemo]
+
 	met predictorMetrics
 }
 
 type predictorMetrics struct {
-	requests *obs.Counter
-	noPath   *obs.Counter
-	latency  *obs.Histogram
+	requests    *obs.Counter
+	noPath      *obs.Counter
+	tablesBuilt *obs.Counter
+	latency     *obs.Histogram
 }
 
 // NewPredictor builds a predictor over the pipeline's graph and router.
@@ -62,12 +76,14 @@ func NewPredictor(g *roadnet.Graph, r *roadnet.Router) *Predictor {
 }
 
 // WithMetrics registers the predict_* instrumentation with reg
-// (requests, no-path misses, latency); returns p for chaining.
+// (requests, no-path misses, cost tables built, latency); returns p for
+// chaining.
 func (p *Predictor) WithMetrics(reg *obs.Registry) *Predictor {
 	p.met = predictorMetrics{
-		requests: reg.Counter("predict_requests_total"),
-		noPath:   reg.Counter("predict_no_path_total"),
-		latency:  reg.Histogram("predict_seconds"),
+		requests:    reg.Counter("predict_requests_total"),
+		noPath:      reg.Counter("predict_no_path_total"),
+		tablesBuilt: reg.Counter("predict_cost_tables_built_total"),
+		latency:     reg.Histogram("predict_seconds"),
 	}
 	return p
 }
@@ -95,11 +111,30 @@ type Prediction struct {
 	Hour int
 }
 
-// edgeObservation is one edge's aggregated profile for the queried
-// hour: observation count and mean pace in s/km.
-type edgeObservation struct {
-	n    int
-	pace float64
+// costMemo is one snapshot's learned routing costs: its sorted profile
+// keys and, per hour bucket, a cost table built on first use.
+type costMemo struct {
+	snap *sink.Snapshot
+	k    float64
+	keys func() []sink.EdgeProfileKey
+	// hours[0] is the all-day table, hours[h+1] hour h's.
+	hours [25]struct {
+		once  sync.Once
+		table *costTable
+	}
+}
+
+// costTable is one hour bucket's routing cost of every edge, indexed by
+// EdgeID. Free-flow time does not depend on the direction of travel, so
+// one cost serves both.
+type costTable struct {
+	// cost is the edge's traversal time in seconds: free-flow time
+	// scaled by the shrunk congestion ratio when observed.
+	cost []float64
+	// observed marks edges with a learned profile for the hour.
+	observed []bool
+	// global is the hour's fleet-wide mean congestion ratio.
+	global float64
 }
 
 // freeFlowPaceSPerKm is an edge's free-flow pace in seconds per km.
@@ -110,39 +145,95 @@ func freeFlowPaceSPerKm(e *roadnet.Edge) float64 {
 	return 3600 / e.SpeedLimitKmh
 }
 
-// profileFor collects the per-edge observations of the queried hour
-// (hour < 0 folds all buckets of an edge together, n-weighted) and the
-// global congestion ratio prior. Iteration is in sorted key order so
-// the float accumulation — and therefore the prediction — is a
-// deterministic function of the snapshot values.
-func (p *Predictor) profileFor(snap *sink.Snapshot, hour int) (map[roadnet.EdgeID]edgeObservation, float64) {
-	edges := make(map[roadnet.EdgeID]edgeObservation)
+// shrinkK is the effective shrinkage prior weight.
+func (p *Predictor) shrinkK() float64 {
+	switch k := p.ShrinkK; {
+	case k == 0:
+		return DefaultShrinkK
+	case k < 0:
+		return 0
+	default:
+		return k
+	}
+}
+
+// costs returns the cost table of snap's hour bucket (negative: all
+// day), building it on the first query that needs it. Concurrent
+// queries on a new snapshot share one memo unless another snapshot
+// replaces it in between; a query that loses that race builds its
+// tables privately.
+func (p *Predictor) costs(snap *sink.Snapshot, hour int) *costTable {
+	k := p.shrinkK()
+	m := p.memo.Load()
+	if m == nil || m.snap != snap || m.k != k {
+		fresh := &costMemo{snap: snap, k: k, keys: sync.OnceValue(snap.EdgeProfileKeys)}
+		if p.memo.CompareAndSwap(m, fresh) {
+			m = fresh
+		} else if m = p.memo.Load(); m.snap != snap || m.k != k {
+			m = fresh
+		}
+	}
+	if hour < 0 {
+		hour = -1
+	}
+	slot := &m.hours[hour+1]
+	slot.once.Do(func() {
+		slot.table = p.buildCosts(snap, m.keys(), hour, k)
+		p.met.tablesBuilt.Inc()
+	})
+	return slot.table
+}
+
+// buildCosts folds the profile buckets of the queried hour (hour < 0
+// folds all buckets of an edge together, n-weighted) into per-edge
+// observation counts and mean paces plus the global congestion ratio
+// prior, then prices every edge: free-flow time, scaled for observed
+// edges by the ratio shrunk toward the prior with weight k. keys are
+// in sorted order so the float accumulation — and therefore the
+// prediction — is a deterministic function of the snapshot values.
+func (p *Predictor) buildCosts(snap *sink.Snapshot, keys []sink.EdgeProfileKey, hour int, k float64) *costTable {
+	edges := p.Graph.Edges
+	n := make([]int, len(edges))
+	pace := make([]float64, len(edges))
 	var ratioSum, weight float64
-	for _, key := range snap.EdgeProfileKeys() {
+	for _, key := range keys {
 		if hour >= 0 && key.Hour != hour {
 			continue
 		}
 		ps := snap.EdgeProfiles[key]
-		if ps.N <= 0 || int(key.Edge) < 0 || int(key.Edge) >= len(p.Graph.Edges) {
+		if ps.N <= 0 || int(key.Edge) < 0 || int(key.Edge) >= len(edges) {
 			continue
 		}
-		ff := freeFlowPaceSPerKm(&p.Graph.Edges[key.Edge])
+		ff := freeFlowPaceSPerKm(&edges[key.Edge])
 		if ff <= 0 {
 			continue
 		}
-		prev := edges[key.Edge]
-		n := prev.n + ps.N
-		edges[key.Edge] = edgeObservation{
-			n:    n,
-			pace: (prev.pace*float64(prev.n) + ps.MeanSPerKm*float64(ps.N)) / float64(n),
-		}
+		prev := n[key.Edge]
+		n[key.Edge] = prev + ps.N
+		pace[key.Edge] = (pace[key.Edge]*float64(prev) + ps.MeanSPerKm*float64(ps.N)) / float64(n[key.Edge])
 		ratioSum += float64(ps.N) * (ps.MeanSPerKm / ff)
 		weight += float64(ps.N)
 	}
-	if weight == 0 {
-		return edges, 1
+	t := &costTable{
+		cost:     make([]float64, len(edges)),
+		observed: make([]bool, len(edges)),
+		global:   1,
 	}
-	return edges, ratioSum / weight
+	if weight != 0 {
+		t.global = ratioSum / weight
+	}
+	for i := range edges {
+		e := &edges[i]
+		t.cost[i] = roadnet.TravelTimeWeight(e, true)
+		if n[i] == 0 {
+			continue
+		}
+		ratio := pace[i] / freeFlowPaceSPerKm(e)
+		shrunk := (float64(n[i])*ratio + k*t.global) / (float64(n[i]) + k)
+		t.cost[i] *= shrunk
+		t.observed[i] = true
+	}
+	return t
 }
 
 // Predict routes from the node nearest `from` to the node nearest `to`
@@ -161,28 +252,8 @@ func (p *Predictor) Predict(snap *sink.Snapshot, from, to geo.XY, hour int) (*Pr
 	if a == nil || b == nil {
 		return nil, fmt.Errorf("predict: the road graph has no nodes")
 	}
-	edges, global := p.profileFor(snap, hour)
-	k := p.ShrinkK
-	if k == 0 {
-		k = DefaultShrinkK
-	} else if k < 0 {
-		k = 0
-	}
-
-	weight := func(e *roadnet.Edge, forward bool) float64 {
-		ff := roadnet.TravelTimeWeight(e, forward)
-		o, ok := edges[e.ID]
-		if !ok {
-			return ff
-		}
-		ffPace := freeFlowPaceSPerKm(e)
-		if ffPace <= 0 {
-			return ff
-		}
-		ratio := o.pace / ffPace
-		shrunk := (float64(o.n)*ratio + k*global) / (float64(o.n) + k)
-		return ff * shrunk
-	}
+	t := p.costs(snap, hour)
+	weight := func(e *roadnet.Edge, _ bool) float64 { return t.cost[e.ID] }
 	path, err := p.Router.ShortestPath(a.ID, b.ID, weight)
 	if err != nil {
 		p.met.noPath.Inc()
@@ -193,7 +264,7 @@ func (p *Predictor) Predict(snap *sink.Snapshot, from, to geo.XY, hour int) (*Pr
 		TravelS:     path.Cost,
 		DistanceKm:  path.Length / 1000,
 		Edges:       len(path.Steps),
-		GlobalRatio: global,
+		GlobalRatio: t.global,
 		Hour:        hour,
 	}
 	if hour < 0 {
@@ -201,7 +272,7 @@ func (p *Predictor) Predict(snap *sink.Snapshot, from, to geo.XY, hour int) (*Pr
 	}
 	for _, st := range path.Steps {
 		pred.FreeFlowS += roadnet.TravelTimeWeight(st.Edge, st.Forward)
-		if _, ok := edges[st.Edge.ID]; ok {
+		if t.observed[st.Edge.ID] {
 			pred.ObservedEdges++
 		}
 	}

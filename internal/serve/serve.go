@@ -141,15 +141,18 @@ func NewAPI(src Source, reg *obs.Registry) *API {
 	reg.GaugeFunc("serve_snapshot_cars", func() float64 {
 		return float64(src.Snapshot().CarsIngested)
 	})
-	a.mux.HandleFunc("GET /v1/snapshot", a.wrap("snapshot", a.handleSnapshot))
-	a.mux.HandleFunc("GET /v1/healthz", a.wrap("healthz", a.handleHealthz))
-	a.mux.HandleFunc("GET /v1/lineage", a.wrap("lineage", a.handleLineage))
-	a.mux.HandleFunc("GET /v1/grid", a.wrap("grid", a.handleGrid))
-	a.mux.HandleFunc("GET /v1/cells/{id}", a.wrap("cell", a.handleCell))
-	a.mux.HandleFunc("GET /v1/od", a.wrap("od", a.handleOD))
-	a.mux.HandleFunc("GET /v1/od/{pair}", a.wrap("odpair", a.handleODPair))
-	a.mux.HandleFunc("GET /v1/predict", a.wrap("predict", a.handlePredict))
-	a.mux.HandleFunc("GET /v1/anomalies", a.wrap("anomalies", a.handleAnomalies))
+	route := func(pattern, name string, h handlerFunc) {
+		a.mux.HandleFunc(pattern, a.wrap(name, reg.Histogram("serve_request_seconds_"+name), h))
+	}
+	route("GET /v1/snapshot", "snapshot", a.handleSnapshot)
+	route("GET /v1/healthz", "healthz", a.handleHealthz)
+	route("GET /v1/lineage", "lineage", a.handleLineage)
+	route("GET /v1/grid", "grid", a.handleGrid)
+	route("GET /v1/cells/{id}", "cell", a.handleCell)
+	route("GET /v1/od", "od", a.handleOD)
+	route("GET /v1/od/{pair}", "odpair", a.handleODPair)
+	route("GET /v1/predict", "predict", a.handlePredict)
+	route("GET /v1/anomalies", "anomalies", a.handleAnomalies)
 	return a
 }
 
@@ -282,14 +285,19 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the single epoch the whole response is built from.
 type handlerFunc func(w http.ResponseWriter, r *http.Request, snap *sink.Snapshot)
 
-// wrap applies the per-request envelope: metrics, the one atomic
-// snapshot load, and the epoch ETag (If-None-Match short-circuits to
-// 304 before any marshalling work).
-func (a *API) wrap(name string, h handlerFunc) http.HandlerFunc {
+// wrap applies the per-request envelope: metrics (the request latency
+// lands in both the aggregate and the route's own histogram), the one
+// atomic snapshot load, and the epoch ETag (If-None-Match
+// short-circuits to 304 before any marshalling work).
+func (a *API) wrap(name string, latency *obs.Histogram, h handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		a.met.requests[name].Inc()
-		defer func() { a.met.latency.Observe(time.Since(start).Seconds()) }()
+		defer func() {
+			d := time.Since(start).Seconds()
+			a.met.latency.Observe(d)
+			latency.Observe(d)
+		}()
 
 		snap := a.src.Snapshot()
 		etag := fmt.Sprintf("\"v%d\"", snap.Epoch)

@@ -309,6 +309,11 @@ func TestServeMetrics(t *testing.T) {
 	if snap.Histograms["serve_request_seconds"].Count != 4 {
 		t.Errorf("latency count = %d", snap.Histograms["serve_request_seconds"].Count)
 	}
+	for route, want := range map[string]uint64{"grid": 1, "od": 2, "cell": 1, "predict": 0} {
+		if got := snap.Histograms["serve_request_seconds_"+route].Count; got != want {
+			t.Errorf("serve_request_seconds_%s count = %d, want %d", route, got, want)
+		}
+	}
 	if snap.Gauges["serve_snapshot_epoch"] != 3 || snap.Gauges["serve_snapshot_cars"] != 3 {
 		t.Errorf("snapshot gauges: %+v", snap.Gauges)
 	}

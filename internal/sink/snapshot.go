@@ -1,7 +1,9 @@
 package sink
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -127,11 +129,11 @@ func (s *Snapshot) EdgeProfileKeys() []EdgeProfileKey {
 	for k := range s.EdgeProfiles {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Edge != out[j].Edge {
-			return out[i].Edge < out[j].Edge
+	slices.SortFunc(out, func(a, b EdgeProfileKey) int {
+		if c := cmp.Compare(a.Edge, b.Edge); c != 0 {
+			return c
 		}
-		return out[i].Hour < out[j].Hour
+		return cmp.Compare(a.Hour, b.Hour)
 	})
 	return out
 }
